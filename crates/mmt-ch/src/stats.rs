@@ -24,7 +24,7 @@ pub struct ChStats {
     /// Bytes of the frozen hierarchy itself.
     pub hierarchy_bytes: usize,
     /// Bytes of one per-query SSSP instance over this hierarchy (dist +
-    /// mind + unsettled counters + settled bits), the "Instance" column.
+    /// mind + settled bits), the "Instance" column.
     pub instance_bytes: usize,
 }
 
@@ -57,11 +57,11 @@ impl ChStats {
 }
 
 /// Memory of one Thorup query instance over `ch`: an 8-byte atomic distance
-/// per vertex, an 8-byte `mind` plus 4-byte unsettled counter per node, and
-/// one settled bit per vertex. Must be kept in sync with
-/// `mmt-thorup::instance::ThorupInstance`'s layout.
+/// per vertex, an 8-byte `mind` per node, and one settled bit per vertex.
+/// Must be kept in sync with `mmt-thorup::instance::ThorupInstance`'s
+/// layout.
 pub fn instance_bytes(ch: &ComponentHierarchy) -> usize {
-    8 * ch.n() + (8 + 4) * ch.num_nodes() + ch.n().div_ceil(8)
+    8 * ch.n() + 8 * ch.num_nodes() + ch.n().div_ceil(8)
 }
 
 /// A builder-independent description of a hierarchy: for every internal
@@ -138,8 +138,8 @@ mod tests {
     #[test]
     fn instance_formula() {
         let ch = build_serial(&shapes::path(9, 1), ChMode::Collapsed);
-        // 9 vertices, 10 nodes: 72 + 120 + 2
-        assert_eq!(instance_bytes(&ch), 8 * 9 + 12 * 10 + 2);
+        // 9 vertices, 10 nodes: 72 + 80 + 2
+        assert_eq!(instance_bytes(&ch), 8 * 9 + 8 * 10 + 2);
     }
 
     #[test]

@@ -1,28 +1,33 @@
 //! Batched simultaneous SSSP with pooled per-query memory.
 //!
 //! [`multi::QueryEngine`](crate::QueryEngine) proves the paper's point that
-//! `k` Thorup queries can share one Component Hierarchy — but it allocates
-//! a fresh [`ThorupInstance`](crate::ThorupInstance) *and* a fresh result
-//! vector per query, which dominates the cost of small batches and churns
-//! the allocator on large ones. This module is the allocation-free form of
-//! the same idea:
+//! `k` Thorup queries can share one Component Hierarchy. This module is the
+//! allocation-free form of the same idea, and the home of every
+//! single-threaded Thorup solve:
 //!
-//! * [`BatchSolver`] — a reusable batch engine whose per-query instances
-//!   come from an [`InstancePool`](crate::InstancePool) (peak-concurrency
-//!   many, not batch-size many) and whose result vectors come from a
-//!   [`DistancePool`];
+//! * [`BatchSolver`] — a reusable batch engine that pools plain-array
+//!   [`SerialThorup`] states (peak-concurrency many, not batch-size many;
+//!   each query runs on one thread, so it needs no atomics) and takes its
+//!   result vectors from a [`DistancePool`]. The atomic
+//!   [`ThorupInstance`](crate::ThorupInstance) and its
+//!   [`InstancePool`](crate::InstancePool) serve the multi-threaded
+//!   [`ThorupSolver`] only;
 //! * [`DistancePool`] / [`PooledDistances`] — result buffers that return
 //!   to the pool when the caller drops them, so a steady stream of batches
-//!   reaches a fixed point where no query allocates at all. The pool's
-//!   `created` counter makes that a testable property rather than a hope.
+//!   reaches a fixed point where no query allocates at all. The pools'
+//!   `created` counters make that a testable property rather than a hope.
 
-use crate::pool::InstancePool;
-use crate::solver::{ThorupConfig, ThorupSolver};
+use crate::serial::SerialThorup;
+use crate::solver::ThorupSolver;
+use mmt_ch::ComponentHierarchy;
 use mmt_graph::types::{Dist, VertexId};
+use mmt_graph::CsrGraph;
 use mmt_platform::scratch::BufferPool;
-use mmt_platform::CancelToken;
+use mmt_platform::{CancelToken, EventCounters};
+use parking_lot::Mutex;
 use rayon::prelude::*;
 use std::ops::Deref;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A shareable pool of result-distance vectors.
@@ -110,11 +115,11 @@ impl Drop for PooledDistances {
 
 /// A reusable engine for simultaneous batches over one shared hierarchy.
 ///
-/// Queries run concurrently, each internally serial (the batch's
-/// parallelism is across queries, as in
-/// [`BatchMode::Simultaneous`](crate::BatchMode)); per-query instances and
-/// result vectors are pooled, so repeated batches settle into a zero
-/// per-query-allocation steady state.
+/// Queries run concurrently, each on one thread (the batch's parallelism
+/// is across queries, as in [`BatchMode::Simultaneous`](crate::BatchMode))
+/// over a pooled [`SerialThorup`] state; states and result vectors are
+/// pooled, so repeated batches settle into a zero per-query-allocation
+/// steady state.
 ///
 /// ```
 /// use mmt_ch::build_parallel;
@@ -131,37 +136,83 @@ impl Drop for PooledDistances {
 /// ```
 #[derive(Debug)]
 pub struct BatchSolver<'a> {
-    serial: ThorupSolver<'a>,
-    instances: InstancePool<'a>,
+    graph: &'a CsrGraph,
+    ch: &'a ComponentHierarchy,
+    counters: Option<&'a EventCounters>,
+    states: Mutex<Vec<SerialThorup<'a>>>,
+    created: AtomicUsize,
     distances: DistancePool,
 }
 
 impl<'a> BatchSolver<'a> {
-    /// Wraps a solver for pooled batch execution (the solver's strategy
-    /// settings are kept; per-query execution is forced serial).
+    /// Wraps a solver's graph, hierarchy and counters for pooled batch
+    /// execution on the serial engine (the solver's strategy settings do
+    /// not apply: every query runs on one thread).
     pub fn new(solver: &ThorupSolver<'a>) -> Self {
-        let serial = solver.with_config(ThorupConfig::serial());
+        let (graph, ch, counters) = solver.parts();
+        Self::over(graph, ch, counters)
+    }
+
+    /// A batch engine over `graph` and its hierarchy `ch`.
+    pub(crate) fn over(
+        graph: &'a CsrGraph,
+        ch: &'a ComponentHierarchy,
+        counters: Option<&'a EventCounters>,
+    ) -> Self {
         Self {
-            serial,
-            instances: InstancePool::new(serial.hierarchy()),
+            graph,
+            ch,
+            counters,
+            states: Mutex::new(Vec::new()),
+            created: AtomicUsize::new(0),
             distances: DistancePool::new(),
         }
+    }
+
+    /// Allocates a fresh state (counted in `instances_created`).
+    fn new_state(&self) -> SerialThorup<'a> {
+        self.created.fetch_add(1, Ordering::Relaxed);
+        let state = SerialThorup::new(self.graph, self.ch);
+        match self.counters {
+            Some(c) => state.with_counters(c),
+            None => state,
+        }
+    }
+
+    /// Runs `f` on a pooled serial state (allocating one only when the
+    /// pool is dry) and returns the state afterwards. A panic inside `f`
+    /// drops the state instead; the next call allocates a fresh one.
+    pub(crate) fn with_state<R>(&self, f: impl FnOnce(&mut SerialThorup<'a>) -> R) -> R {
+        let pooled = self.states.lock().pop();
+        let mut state = pooled.unwrap_or_else(|| self.new_state());
+        let out = f(&mut state);
+        self.states.lock().push(state);
+        out
+    }
+
+    /// One query on `state` into a pooled result buffer; `None` when
+    /// `cancel` fired.
+    fn solve_on(
+        &self,
+        state: &mut SerialThorup<'a>,
+        source: VertexId,
+        cancel: Option<&CancelToken>,
+    ) -> Option<PooledDistances> {
+        match cancel {
+            Some(token) if !state.solve_with_cancel(source, token) => return None,
+            Some(_) => {}
+            None => state.run(source, None, &|| false),
+        }
+        let mut buf = self.distances.acquire();
+        buf.extend_from_slice(state.distances());
+        Some(self.distances.wrap(buf))
     }
 
     /// Runs one SSSP per source simultaneously, returning pooled distance
     /// vectors in input order. Dropping a result recycles its buffer for
     /// the next batch.
     pub fn solve_batch(&self, sources: &[VertexId]) -> Vec<PooledDistances> {
-        sources
-            .par_iter()
-            .map(|&s| {
-                let inst = self.instances.acquire();
-                self.serial.solve_into(&inst, s);
-                let mut buf = self.distances.acquire();
-                inst.copy_distances_into(&mut buf);
-                self.distances.wrap(buf)
-            })
-            .collect()
+        sources.par_iter().map(|&s| self.solve_one(s)).collect()
     }
 
     /// The cancellable form of [`solve_batch`](Self::solve_batch), for
@@ -185,34 +236,21 @@ impl<'a> BatchSolver<'a> {
         );
         (0..sources.len())
             .into_par_iter()
-            .map(|i| {
-                let inst = self.instances.acquire();
-                if !self
-                    .serial
-                    .solve_into_with_cancel(&inst, sources[i], &tokens[i])
-                {
-                    return None;
-                }
-                let mut buf = self.distances.acquire();
-                inst.copy_distances_into(&mut buf);
-                Some(self.distances.wrap(buf))
-            })
+            .map(|i| self.with_state(|state| self.solve_on(state, sources[i], Some(&tokens[i]))))
             .collect()
     }
 
     /// One pooled query (convenience for interleaving single sources with
     /// batches on the same warm pools).
     pub fn solve_one(&self, source: VertexId) -> PooledDistances {
-        let inst = self.instances.acquire();
-        self.serial.solve_into(&inst, source);
-        let mut buf = self.distances.acquire();
-        inst.copy_distances_into(&mut buf);
-        self.distances.wrap(buf)
+        self.with_state(|state| self.solve_on(state, source, None))
+            .expect("an uncancellable solve always completes")
     }
 
-    /// Instances ever allocated — tracks peak concurrency, not query count.
+    /// Serial states ever allocated — tracks peak concurrency, not query
+    /// count.
     pub fn instances_created(&self) -> usize {
-        self.instances.allocated()
+        self.created.load(Ordering::Relaxed)
     }
 
     /// Result vectors ever allocated — tracks peak in-flight results, not
@@ -266,8 +304,13 @@ mod tests {
         for (i, row) in rows.iter().enumerate() {
             assert_eq!(&row[..], &want[i][..]);
         }
-        drop(rows); // buffers return to the pools
-        let warm_instances = batch.instances_created();
+        // Dropping the rows returns their buffers to the pool.
+        drop(rows);
+        // States track peak concurrency: at most one per lane, however
+        // many queries run. Which lanes overlap varies from run to run,
+        // so the count is bounded, not pinned, across batches.
+        let lanes = rayon::current_num_threads();
+        assert!(batch.instances_created() >= 1 && batch.instances_created() <= lanes);
         let warm_buffers = batch.distance_buffers_created();
         assert!(warm_buffers >= 1 && warm_buffers <= sources.len());
         for _ in 0..4 {
@@ -276,15 +319,24 @@ mod tests {
                 assert_eq!(&row[..], &want[i][..]);
             }
         }
-        assert_eq!(
-            batch.instances_created(),
-            warm_instances,
-            "steady-state batches must reuse instances"
+        assert!(
+            batch.instances_created() <= lanes,
+            "60 queries must run on at most one serial state per lane"
         );
         assert_eq!(
             batch.distance_buffers_created(),
             warm_buffers,
             "steady-state batches must reuse result buffers"
+        );
+        // One query at a time runs on one warm state: none is created.
+        let warm_instances = batch.instances_created();
+        for &s in &sources {
+            assert_eq!(&batch.solve_one(s)[..], &want[s as usize][..]);
+        }
+        assert_eq!(
+            batch.instances_created(),
+            warm_instances,
+            "sequential queries must reuse a pooled serial state"
         );
     }
 
@@ -310,6 +362,24 @@ mod tests {
                 }
                 None => assert!(i == 1 || i == 3, "source {s} was live"),
             }
+        }
+    }
+
+    #[test]
+    fn a_panicking_solve_drops_its_state_and_the_pool_recovers() {
+        let el = shapes::path(16, 2);
+        let g = CsrGraph::from_edge_list(&el);
+        let ch = build_serial(&el, ChMode::Collapsed);
+        let solver = ThorupSolver::new(&g, &ch);
+        let batch = BatchSolver::new(&solver);
+        // An out-of-range source panics inside one lane's serial solve.
+        let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            batch.solve_batch(&[0, 99, 5])
+        }));
+        assert!(hit.is_err());
+        let rows = batch.solve_batch(&[0, 5, 15]);
+        for (row, s) in rows.iter().zip([0u32, 5, 15]) {
+            assert_eq!(&row[..], &dijkstra(&g, s)[..], "source {s}");
         }
     }
 

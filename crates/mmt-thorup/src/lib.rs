@@ -21,12 +21,15 @@
 //! ```
 //!
 //! Modules:
-//! * [`solver`] — the recursive bucket-visit engine;
-//! * [`instance`] — per-query mutable state (dist / mind / unsettled);
+//! * [`solver`] — the multi-threaded recursive bucket-visit engine;
+//! * [`instance`] — per-query atomic state of the concurrent solver
+//!   (dist / mind / settled bits);
+//! * [`serial`] — the plain-array engine behind every single-threaded
+//!   solve;
 //! * [`tovisit`] — the selective loop-parallelisation study (Table 6);
 //! * [`multi`] — simultaneous batched queries over a shared CH (Figure 5);
-//! * [`batch`] — the allocation-free form of `multi`: pooled per-query
-//!   instances and result buffers;
+//! * [`batch`] — the allocation-free form of `multi`: pooled serial
+//!   states and result buffers;
 //! * [`service`] — the long-lived query-serving layer (single queries and
 //!   pooled batches), with a deadline-aware coalescing scheduler that
 //!   amortises queued same-graph queries through one [`BatchSolver`] run;

@@ -5,13 +5,13 @@
 //!
 //! A Δ-stepping batch must run its (internally parallel) queries one after
 //! another; the CH lets `k` Thorup queries run *concurrently in one
-//! process*, each carrying only a lightweight [`ThorupInstance`] (Table 2's
+//! process*, each carrying only a lightweight per-query instance (Table 2's
 //! "Instance" column) instead of a full copy of the graph.
 
+use crate::batch::{BatchSolver, PooledDistances};
 use crate::instance::ThorupInstance;
-use crate::solver::{ThorupConfig, ThorupSolver};
+use crate::solver::ThorupSolver;
 use mmt_graph::types::{Dist, VertexId};
-use rayon::prelude::*;
 
 /// How a batch of sources is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,21 +40,15 @@ impl<'a> QueryEngine<'a> {
     /// order.
     pub fn solve_batch(&self, sources: &[VertexId], mode: BatchMode) -> Vec<Vec<Dist>> {
         match mode {
-            BatchMode::Simultaneous => {
-                // Inner solves are serial: the pool's parallelism is spent
-                // across queries, which is where a batch has the most
-                // independent work (the paper's small-graph lesson: one
-                // query cannot keep the whole machine busy).
-                let serial = self.solver.with_config(ThorupConfig::serial());
-                sources
-                    .par_iter()
-                    .map(|&s| {
-                        let inst = ThorupInstance::new(serial.hierarchy());
-                        serial.solve_into(&inst, s);
-                        inst.distances()
-                    })
-                    .collect()
-            }
+            // Inner solves run on one thread each: the pool's parallelism
+            // is spent across queries, which is where a batch has the most
+            // independent work (the paper's small-graph lesson: one query
+            // cannot keep the whole machine busy).
+            BatchMode::Simultaneous => BatchSolver::new(&self.solver)
+                .solve_batch(sources)
+                .into_iter()
+                .map(PooledDistances::detach)
+                .collect(),
             BatchMode::Sequential => sources
                 .iter()
                 .map(|&s| {

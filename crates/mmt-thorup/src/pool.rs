@@ -1,11 +1,16 @@
-//! Reusable instance pool for high-throughput query serving.
+//! Reusable instance pool for the concurrent solver.
 //!
-//! A [`ThorupInstance`](crate::ThorupInstance) is cheap next to the graph
-//! but still `O(n)`; a service answering a stream of queries should not
-//! allocate one per request. The pool hands out reset instances and
-//! reclaims them on drop, capping live memory at the concurrency level —
-//! which is exactly the "k instances for k simultaneous queries" memory
-//! model of the paper's Section 5.2.
+//! A [`ThorupInstance`](crate::ThorupInstance) — the atomic per-query
+//! state of the multi-threaded [`ThorupSolver`](crate::ThorupSolver) — is
+//! cheap next to the graph but still `O(n)`; a caller answering a stream
+//! of parallel queries should not allocate one per query. The pool hands
+//! out reset instances and reclaims them on drop, capping live memory at
+//! the concurrency level — which is exactly the "k instances for k
+//! simultaneous queries" memory model of the paper's Section 5.2.
+//!
+//! Single-threaded solves do not come here: the
+//! [`BatchSolver`](crate::BatchSolver) pools plain-array
+//! [`SerialThorup`](crate::SerialThorup) states instead.
 
 use crate::instance::ThorupInstance;
 use mmt_ch::ComponentHierarchy;

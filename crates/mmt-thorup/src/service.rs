@@ -33,17 +33,21 @@
 //!   finish normally.
 //! * **Coalescing scheduler.** A worker that dequeues a full-SSSP query
 //!   gathers queued queries for the same graph and layout — up to
-//!   [`coalesce_batch_cap`](QueryServiceBuilder::coalesce_batch_cap),
-//!   waiting at most [`coalesce_budget`](QueryServiceBuilder::coalesce_budget)
-//!   and never past the earliest member deadline — and solves them in one
-//!   [`BatchSolver`] run, converting the batch path's amortisation into
-//!   serving throughput. The default zero budget adds no latency: batches
+//!   [`coalesce_batch_cap`](QueryServiceBuilder::coalesce_batch_cap) and
+//!   this worker's share of the shard's backlog, waiting at most
+//!   [`coalesce_budget`](QueryServiceBuilder::coalesce_budget) and never
+//!   past the earliest member deadline — and solves them one after
+//!   another on its own serial state, answering each member as soon as
+//!   its solve ends. The default zero budget adds no latency: batches
 //!   form exactly when a backlog exists. `coalesced_batches` /
 //!   `coalesced_queries` in [`ServiceMetrics`] observe it;
 //!   [`QueryServiceBuilder::no_coalescing`] turns it off.
 //!
-//! Each worker owns one [`ThorupInstance`] (a `w`-worker shard pins
-//! exactly `w` instances — the paper's Section 5.2 memory model), pulls
+//! Each worker owns one plain-array [`SerialThorup`](crate::SerialThorup)
+//! state, pooled in its [`BatchSolver`] and shared by every Thorup path it
+//! serves — solo, point-to-point, batch member and coalesced (a `w`-worker
+//! shard pins `w` states: the paper's Section 5.2 memory model of
+//! per-query instances over one shared CH). It pulls
 //! requests from its shard's **bounded** queue, and answers through a
 //! per-request reply channel. Admission control is typed: when the queue
 //! is full, [`QueryService::try_submit`] returns
@@ -100,10 +104,8 @@
 
 use crate::batch::{BatchSolver, DistancePool, PooledDistances};
 use crate::error::{InputError, ServiceError};
-use crate::instance::ThorupInstance;
 use crate::layout::{GraphLayout, LayoutKind};
 use crate::registry::{GraphId, GraphRegistry, QueryId};
-use crate::solver::{ThorupConfig, ThorupSolver};
 use crate::trace::{TraceEvent, TraceSink};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use mmt_baselines::{
@@ -1064,9 +1066,14 @@ impl QueryServiceBuilder {
 
     /// Sets how long a worker that just dequeued a full-SSSP query may
     /// wait for more same-graph, same-layout queries to coalesce into one
-    /// [`BatchSolver`] run (default [`Duration::ZERO`]: the worker grabs
-    /// whatever is *already* queued and never waits, so coalescing adds
-    /// no latency and batches form exactly when there is a backlog).
+    /// batch (default [`Duration::ZERO`]: the worker grabs whatever is
+    /// *already* queued and never waits, so coalescing adds no latency
+    /// and batches form exactly when there is a backlog).
+    ///
+    /// Members solve one after another on the gathering worker, so a
+    /// worker with siblings on its shard gathers only its share of the
+    /// queued backlog and never waits for arrivals (a sibling serves
+    /// them); the window applies to single-worker shards.
     ///
     /// The window is always clamped to the earliest member deadline —
     /// coalescing never waits a member past its deadline — and a member
@@ -1167,6 +1174,7 @@ impl QueryServiceBuilder {
                         faults: self.fault_plan.clone(),
                         evicted: Arc::clone(&evicted),
                         coalesce: self.coalesce,
+                        workers: worker_count,
                         trace: trace.clone(),
                     };
                     let plan = Arc::clone(&pin_plan);
@@ -1837,6 +1845,9 @@ struct WorkerShared {
     /// The shard's eviction flag (see [`Shard::evicted`]).
     evicted: Arc<AtomicBool>,
     coalesce: CoalesceSettings,
+    /// Workers serving this shard's queue; the coalescer gathers only
+    /// its share of the backlog.
+    workers: usize,
     trace: Option<Arc<TraceShared>>,
 }
 
@@ -1936,21 +1947,13 @@ fn worker_loop(shared: &WorkerShared) -> WorkerExit {
     // Per-query work counters exist only while a trace sink is installed;
     // every other configuration never allocates or reads them.
     let counters = shared.trace.as_ref().map(|_| EventCounters::new());
-    // Workers solve serially: the service's parallelism is across queries
-    // and across shards. All solving happens in the layout's internal id
-    // space; ids are translated at this loop's edges only.
-    let mut solver = ThorupSolver::new(layout.graph(), ch).with_config(ThorupConfig::serial());
-    if let Some(c) = counters.as_ref() {
-        solver = solver.with_counters(c);
-    }
-    // The coalescing scheduler amortises gathered members through pooled
-    // batch instances; one BatchSolver per worker incarnation keeps those
-    // pools warm across batches.
-    let batcher = BatchSolver::new(&solver);
-    let inst = ThorupInstance::new(ch);
-    // Holds internal-order distances long enough to scatter them out; only
-    // non-natural layouts touch it.
-    let mut internal_buf: Vec<Dist> = Vec::new();
+    // Workers solve on one thread each: the service's parallelism is
+    // across queries and across shards. All solving happens in the
+    // layout's internal id space; ids are translated at this loop's edges
+    // only. One BatchSolver per worker incarnation pools the serial states
+    // that solo, point-to-point and coalesced solves all draw from, so
+    // they stay warm across requests.
+    let batcher = BatchSolver::over(layout.graph(), ch, counters.as_ref());
     // Lazily-built per-worker state for the non-default P2P solvers; a
     // worker that never sees a Bidirectional/DeltaEarly request pays
     // nothing for them.
@@ -1984,17 +1987,12 @@ fn worker_loop(shared: &WorkerShared) -> WorkerExit {
         // The coalescing scheduler: a dequeued full-SSSP query opens a
         // batch that gathers matching queued queries (same graph, same
         // layout) under a deadline-clamped window, then solves them in
-        // one BatchSolver run.
+        // turn on one pooled serial state.
         if shared.coalesce.enabled && matches!(req.kind, RequestKind::Full { .. }) {
             let exit = match req.layout.clone() {
                 Some(over) => {
-                    let ov_ch = over.hierarchy();
-                    let mut ov_solver =
-                        ThorupSolver::new(over.graph(), ov_ch).with_config(ThorupConfig::serial());
-                    if let Some(c) = counters.as_ref() {
-                        ov_solver = ov_solver.with_counters(c);
-                    }
-                    let ov_batcher = BatchSolver::new(&ov_solver);
+                    let ov_batcher =
+                        BatchSolver::over(over.graph(), over.hierarchy(), counters.as_ref());
                     serve_coalesced(req, dequeued, &over, &ov_batcher, counters.as_ref(), shared)
                 }
                 None => serve_coalesced(req, dequeued, layout, &batcher, counters.as_ref(), shared),
@@ -2007,17 +2005,12 @@ fn worker_loop(shared: &WorkerShared) -> WorkerExit {
         metrics.inflight.bump();
         // A per-request layout override solves on a registry-cached layout
         // instead of the shard's resident one. The override pays a
-        // solver+instance construction per request — it is an escape
-        // hatch for A/B'ing layouts in place, not the fast path.
+        // serial-state construction per request — it is an escape hatch
+        // for A/B'ing layouts in place, not the fast path.
         let exit = match req.layout.clone() {
             Some(over) => {
-                let ov_ch = over.hierarchy();
-                let mut ov_solver =
-                    ThorupSolver::new(over.graph(), ov_ch).with_config(ThorupConfig::serial());
-                if let Some(c) = counters.as_ref() {
-                    ov_solver = ov_solver.with_counters(c);
-                }
-                let ov_inst = ThorupInstance::new(ov_ch);
+                let ov_batcher =
+                    BatchSolver::over(over.graph(), over.hierarchy(), counters.as_ref());
                 // Override layouts get fresh P2P state too: their internal
                 // id space (and thus graph) differs from the resident one.
                 let mut ov_p2p = P2pState::default();
@@ -2025,9 +2018,7 @@ fn worker_loop(shared: &WorkerShared) -> WorkerExit {
                     req,
                     dequeued,
                     &over,
-                    &ov_solver,
-                    &ov_inst,
-                    &mut internal_buf,
+                    &ov_batcher,
                     &mut ov_p2p,
                     shared,
                     counters.as_ref(),
@@ -2037,9 +2028,7 @@ fn worker_loop(shared: &WorkerShared) -> WorkerExit {
                 req,
                 dequeued,
                 layout,
-                &solver,
-                &inst,
-                &mut internal_buf,
+                &batcher,
                 &mut p2p,
                 shared,
                 counters.as_ref(),
@@ -2171,17 +2160,19 @@ fn emit_trace(
 
 /// The coalescing scheduler's serve path: `opener` (a dequeued, still-live
 /// full-SSSP request) opens a batch; matching queued requests are gathered
-/// up to the batch cap under a time window that never extends past the
-/// earliest member deadline; the whole batch solves in one
-/// [`BatchSolver`] run and every member's reply slot resolves exactly
-/// once.
+/// up to the batch cap and this worker's share of the backlog, under a
+/// time window that never extends past the earliest member deadline; the
+/// members then solve one after another on the worker's pooled serial
+/// state, each answered as soon as its own solve ends, and every member's
+/// reply slot resolves exactly once.
 ///
 /// Fault-site semantics on this path: `Coalesce` fires once per formation
 /// (after the opener is held, before gathering), `Solve` fires once per
-/// batch, and `Reply` fires once per member in gather order. A panic at
-/// `Coalesce` or `Solve` loses exactly the members held at that point
-/// (each a typed [`ServiceError::WorkerLost`]); a panic at a member's
-/// `Reply` loses that member and the not-yet-replied remainder, never an
+/// batch (before the first member solves), and `Reply` fires once per
+/// member in gather order. A panic at `Coalesce` or `Solve` loses exactly
+/// the members held at that point (each a typed
+/// [`ServiceError::WorkerLost`]); a panic in a member's solve or at its
+/// `Reply` loses that member and the not-yet-answered remainder, never an
 /// already-delivered answer.
 fn serve_coalesced(
     opener: Request,
@@ -2221,7 +2212,17 @@ fn serve_coalesced(
     let pred = |r: &Request| {
         matches!(r.kind, RequestKind::Full { .. }) && layouts_match(&opener_layout, &r.layout)
     };
+    // Members solve one after another on this worker, so a shard with
+    // sibling workers gathers only this worker's share of the backlog it
+    // can see: a request taken past that share would wait here while a
+    // sibling could serve it, and an arrival into an empty queue goes to
+    // a sibling rather than into this batch. A lone worker serves every
+    // request anyway and gathers up to the cap under the window.
+    let workers = shared.workers.max(1);
     while members.len() < shared.coalesce.cap {
+        if workers > 1 && members.len() >= (members.len() + shared.queue.len()).div_ceil(workers) {
+            break;
+        }
         match shared.queue.pop_match_until(&pred, window_end) {
             CoalescePop::Item(req) => {
                 let now = Instant::now();
@@ -2270,46 +2271,40 @@ fn serve_coalesced(
         _ => None,
     };
     metrics.inflight.add(members.len() as u64);
-    let sources: Vec<VertexId> = members
-        .iter()
-        .map(|m| layout.to_internal(m.source))
-        .collect();
-    let tokens: Vec<CancelToken> = members.iter().map(|m| m.token.clone()).collect();
-    let solve_started = shared.trace.as_ref().map(|_| Instant::now());
-    let before = counters.map(EventCounters::snapshot);
-    // One Solve fault firing and one catch_unwind for the whole batch: a
-    // panic mid-batch-solve loses exactly these members, each typed.
-    let solved = catch_unwind(AssertUnwindSafe(|| {
+    // One Solve fault firing per batch, before the first member solves: a
+    // panic there loses every member, each typed.
+    if catch_unwind(AssertUnwindSafe(|| {
         let _ = fire_fault(&shared.faults, FaultSite::Solve);
-        batcher.solve_batch_with_cancel(&sources, &tokens)
-    }));
-    let Ok(results) = solved else {
+    }))
+    .is_err()
+    {
         metrics.inflight.sub(members.len() as u64);
         for m in members {
             metrics.note_failure(&ServiceError::WorkerLost);
             let _ = m.reply.send(Err(ServiceError::WorkerLost));
         }
         return Some(WorkerExit::Poisoned);
-    };
-    let work = work_delta(before, counters);
-    // Deliver in gather order. The Reply fault fires once per member;
-    // metrics for each member are settled before its reply is sent, and a
-    // poisoned worker still resolves every remaining slot before dying.
-    let mut pairs: Vec<(CoalesceMember, Option<PooledDistances>)> =
-        members.into_iter().zip(results).collect();
-    pairs.reverse();
+    }
+    // Members solve in gather order on this worker's pooled serial state,
+    // and each is answered as soon as its own solve ends. The Reply fault
+    // fires once per member; metrics for each member are settled before
+    // its reply is sent, and a poisoned worker still resolves every
+    // remaining slot before dying.
     let mut exit = None;
-    while let Some((m, res)) = pairs.pop() {
+    for m in members {
         if exit.is_some() {
             metrics.note_failure(&ServiceError::WorkerLost);
             metrics.inflight.sub(1);
             let _ = m.reply.send(Err(ServiceError::WorkerLost));
             continue;
         }
-        let fired = catch_unwind(AssertUnwindSafe(|| {
-            fire_fault(&shared.faults, FaultSite::Reply)
+        let solve_started = shared.trace.as_ref().map(|_| Instant::now());
+        let before = counters.map(EventCounters::snapshot);
+        let solved = catch_unwind(AssertUnwindSafe(|| {
+            let result = solve_full(batcher, layout, m.source, &m.token);
+            (result, fire_fault(&shared.faults, FaultSite::Reply))
         }));
-        let Ok(effect) = fired else {
+        let Ok((result, effect)) = solved else {
             metrics.note_failure(&ServiceError::WorkerLost);
             metrics.inflight.sub(1);
             let _ = m.reply.send(Err(ServiceError::WorkerLost));
@@ -2322,21 +2317,6 @@ fn serve_coalesced(
             drop(m.reply);
             continue;
         }
-        let result = match res {
-            Some(pooled) => {
-                if layout.permutation().is_some() {
-                    let mut out = Vec::with_capacity(pooled.len());
-                    layout.scatter_into(&pooled, &mut out);
-                    Ok(out)
-                } else {
-                    // Detaching hands the buffer to the client outright —
-                    // the same one-allocation-per-answer cost as the
-                    // non-coalesced path.
-                    Ok(pooled.detach())
-                }
-            }
-            None => Err(token_failure(&m.token).unwrap_or(ServiceError::Cancelled)),
-        };
         match &result {
             Ok(_) => {
                 metrics.served_full.bump();
@@ -2363,7 +2343,7 @@ fn serve_coalesced(
             m.dequeued,
             m.gathered,
             solve_started,
-            work,
+            work_delta(before, counters),
             batch_id,
             batch_size,
             outcome,
@@ -2371,6 +2351,29 @@ fn serve_coalesced(
         let _ = m.reply.send(result);
     }
     exit
+}
+
+/// One full-SSSP solve from `source` (an external id) on a pooled serial
+/// state of `batcher`, answered in external order; a fired token resolves
+/// as its typed failure.
+fn solve_full(
+    batcher: &BatchSolver<'_>,
+    layout: &GraphLayout,
+    source: VertexId,
+    token: &CancelToken,
+) -> Result<Vec<Dist>, ServiceError> {
+    batcher.with_state(|state| {
+        if !state.solve_with_cancel(layout.to_internal(source), token) {
+            return Err(token_failure(token).unwrap_or(ServiceError::Cancelled));
+        }
+        if layout.permutation().is_some() {
+            let mut out = Vec::with_capacity(state.distances().len());
+            layout.scatter_into(state.distances(), &mut out);
+            Ok(out)
+        } else {
+            Ok(state.distances().to_vec())
+        }
+    })
 }
 
 /// Solves one dequeued request on `layout` and delivers its answer.
@@ -2424,15 +2427,12 @@ fn serve_one(
     req: Request,
     dequeued: Instant,
     layout: &GraphLayout,
-    solver: &ThorupSolver<'_>,
-    inst: &ThorupInstance,
-    internal_buf: &mut Vec<Dist>,
+    batcher: &BatchSolver<'_>,
     p2p: &mut P2pState,
     shared: &WorkerShared,
     counters: Option<&EventCounters>,
 ) -> Option<WorkerExit> {
     let metrics: &ServiceMetrics = &shared.metrics;
-    let ch = layout.hierarchy();
     let Request {
         kind,
         token,
@@ -2446,20 +2446,7 @@ fn serve_one(
         RequestKind::Full { source, reply } => {
             let solve = catch_unwind(AssertUnwindSafe(|| {
                 let _ = fire_fault(&shared.faults, FaultSite::Solve);
-                inst.reset(ch);
-                let internal_source = layout.to_internal(source);
-                let result = if solver.solve_into_with_cancel(inst, internal_source, &token) {
-                    if layout.permutation().is_some() {
-                        inst.copy_distances_into(internal_buf);
-                        let mut out = Vec::with_capacity(internal_buf.len());
-                        layout.scatter_into(internal_buf, &mut out);
-                        Ok(out)
-                    } else {
-                        Ok(inst.distances())
-                    }
-                } else {
-                    Err(token_failure(&token).unwrap_or(ServiceError::Cancelled))
-                };
+                let result = solve_full(batcher, layout, source, &token);
                 let effect = fire_fault(&shared.faults, FaultSite::Reply);
                 (result, effect)
             }));
@@ -2522,8 +2509,7 @@ fn serve_one(
                 // space and return None iff the token fired mid-solve.
                 let answer = match algo {
                     P2pAlgo::Thorup => {
-                        inst.reset(ch);
-                        solver.solve_target_with_cancel(inst, s, t, &token)
+                        batcher.with_state(|state| state.solve_target_with_cancel(s, t, &token))
                     }
                     P2pAlgo::Bidirectional => {
                         bidirectional_st(layout.graph(), s, t, p2p.bidi(), Some(&token)).map(
@@ -2596,20 +2582,19 @@ fn serve_one(
         RequestKind::Batch { source, member } => {
             let solve = catch_unwind(AssertUnwindSafe(|| {
                 let _ = fire_fault(&shared.faults, FaultSite::Solve);
-                inst.reset(ch);
                 let internal_source = layout.to_internal(source);
-                let result = if solver.solve_into_with_cancel(inst, internal_source, &token) {
+                let result = batcher.with_state(|state| {
+                    if !state.solve_with_cancel(internal_source, &token) {
+                        return Err(token_failure(&token).unwrap_or(ServiceError::Cancelled));
+                    }
                     let mut buf = shared.distances.acquire();
                     if layout.permutation().is_some() {
-                        inst.copy_distances_into(internal_buf);
-                        layout.scatter_into(internal_buf, &mut buf);
+                        layout.scatter_into(state.distances(), &mut buf);
                     } else {
-                        inst.copy_distances_into(&mut buf);
+                        buf.extend_from_slice(state.distances());
                     }
                     Ok(shared.distances.wrap(buf))
-                } else {
-                    Err(token_failure(&token).unwrap_or(ServiceError::Cancelled))
-                };
+                });
                 let effect = fire_fault(&shared.faults, FaultSite::Reply);
                 (result, effect)
             }));
@@ -3735,6 +3720,14 @@ mod tests {
         // The opener was dequeued, not gathered; its batchmate was.
         assert!(full.iter().any(|e| e.coalesce_us.is_none()));
         assert!(full.iter().any(|e| e.coalesce_us.is_some()));
+        // Members solve in turn and each is answered when its own solve
+        // ends: the first reply precedes the second member's solve.
+        let (first, second) = if full[0].solve_us <= full[1].solve_us {
+            (full[0], full[1])
+        } else {
+            (full[1], full[0])
+        };
+        assert!(first.reply_us <= second.solve_us.unwrap());
         let target = events.iter().find(|e| e.kind == "target").unwrap();
         assert_eq!(target.batch, None);
         assert_eq!(target.batch_size, 1);

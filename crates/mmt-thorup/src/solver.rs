@@ -21,7 +21,13 @@
 //!   (min over children) applied with a compare-exchange so that a
 //!   concurrent lowering from a cross-component relaxation is never lost;
 //! * a component returns control to its parent as soon as its `mind` leaves
-//!   the parent's current bucket, or when it has no unsettled vertices.
+//!   the parent's current bucket, or when it has no unsettled vertices
+//!   (`mind == INF`).
+//!
+//! This is the multi-threaded engine: it serves parallel visits (and the
+//! `thorup`/`thorup-compact` differential engines). Every single-threaded
+//! solve runs on the plain-array [`SerialThorup`](crate::SerialThorup)
+//! instead, through [`BatchSolver`](crate::BatchSolver).
 
 use crate::error::InputError;
 use crate::instance::{CompactThorupInstance, ThorupInstance, ThorupInstanceIn};
@@ -78,6 +84,46 @@ mod target_tests {
         let inst = ThorupInstance::new(&ch);
         assert_eq!(solver.solve_target(&inst, 2, 2), 0);
     }
+
+    #[test]
+    fn cancellable_target_solve_matches_dijkstra() {
+        use mmt_graph::gen::{GraphClass, WeightDist, WorkloadSpec};
+        let mut spec = WorkloadSpec::new(GraphClass::Random, WeightDist::PolyLog, 7, 6);
+        spec.seed = 17;
+        let el = spec.generate();
+        let g = CsrGraph::from_edge_list(&el);
+        let ch = build_serial(&el, ChMode::Collapsed);
+        // The default configuration: the concurrent, parallel-visit solver.
+        let solver = ThorupSolver::new(&g, &ch);
+        let inst = ThorupInstance::new(&ch);
+        let live = CancelToken::new();
+        for s in [0, 31, 77] {
+            let want = mmt_baselines::dijkstra(&g, s);
+            for t in 0..g.n() as VertexId {
+                inst.reset(&ch);
+                assert_eq!(
+                    solver.solve_target_with_cancel(&inst, s, t, &live),
+                    Some(want[t as usize]),
+                    "{s} -> {t}"
+                );
+            }
+        }
+        // An unreachable target is proven INF, not reported as cancelled.
+        let el = mmt_graph::types::EdgeList::from_triples(3, [(0, 1, 2)]);
+        let g = CsrGraph::from_edge_list(&el);
+        let ch = build_serial(&el, ChMode::Collapsed);
+        let solver = ThorupSolver::new(&g, &ch);
+        let inst = ThorupInstance::new(&ch);
+        assert_eq!(
+            solver.solve_target_with_cancel(&inst, 0, 2, &live),
+            Some(INF)
+        );
+        // A fired token answers None.
+        let fired = CancelToken::new();
+        fired.cancel();
+        inst.reset(&ch);
+        assert_eq!(solver.solve_target_with_cancel(&inst, 0, 1, &fired), None);
+    }
 }
 
 /// Configuration of a Thorup solve.
@@ -101,8 +147,9 @@ pub struct ThorupConfig {
     )]
     pub strategy: ToVisitStrategy,
     /// Run child visits within a bucket sequentially even when the gather
-    /// found several (used by the multi-query engine to dedicate the pool
-    /// to cross-query parallelism).
+    /// found several (the atomic solver pinned to one thread, as in the
+    /// Table 1 comparison; production one-thread solves use
+    /// [`SerialThorup`](crate::SerialThorup) instead).
     #[deprecated(
         since = "0.2.0",
         note = "use ThorupConfig::new().with_serial_visits(..) and .serial_visits()"
@@ -203,6 +250,18 @@ impl<'a> ThorupSolver<'a> {
     /// The hierarchy this solver walks.
     pub fn hierarchy(&self) -> &'a ComponentHierarchy {
         self.ch
+    }
+
+    /// The graph, hierarchy and counters a serial engine needs to answer
+    /// for this solver.
+    pub(crate) fn parts(
+        &self,
+    ) -> (
+        &'a CsrGraph,
+        &'a ComponentHierarchy,
+        Option<&'a EventCounters>,
+    ) {
+        (self.graph, self.ch, self.counters)
     }
 
     /// Convenience: allocate an instance, solve, return distances.
@@ -501,16 +560,6 @@ impl<'a> ThorupSolver<'a> {
         // Thorup's lemma guarantees d(v) = δ(v) here.
         let d = inst.dist[v as usize].load();
         debug_assert_ne!(d, INF, "settling an unreached vertex");
-        // One fewer unsettled vertex everywhere up the chain.
-        let mut x = leaf;
-        loop {
-            inst.unsettled[x as usize].fetch_sub(1, Ordering::AcqRel);
-            let p = self.ch.parent(x);
-            if p == x {
-                break;
-            }
-            x = p;
-        }
         // Relax v's edges.
         let (targets, weights) = self.graph.neighbors(v);
         if let Some(ev) = self.counters {

@@ -16,9 +16,9 @@
 //!
 //! Timestamps are microseconds relative to the service's construction
 //! instant (its *epoch*), so events from one service are mutually
-//! comparable without wall-clock plumbing. Counter fields on coalesced
-//! members report the *batch totals* (members solve concurrently on
-//! shared counters); singleton events report exact per-query work.
+//! comparable without wall-clock plumbing. Counter fields report exact
+//! per-query work, coalesced members included: a coalesced batch's
+//! members solve one after another on their worker.
 
 use mmt_graph::types::VertexId;
 use parking_lot::Mutex;
@@ -52,16 +52,15 @@ pub struct TraceEvent {
     /// When the answer (or typed rejection) was handed to the reply
     /// channel.
     pub reply_us: u64,
-    /// The coalesced batch this query was solved in, when it shared a
-    /// [`BatchSolver`](crate::batch::BatchSolver) run with at least one
-    /// other query.
+    /// The coalesced batch this query was gathered into, when the batch
+    /// held at least one other query.
     pub batch: Option<u64>,
     /// Members in the solving batch (1 when not coalesced).
     pub batch_size: u32,
-    /// Edge relaxations charged to the solve (batch total for coalesced
-    /// members; zero when counters were unavailable).
+    /// Edge relaxations charged to this query's solve (zero when
+    /// counters were unavailable).
     pub relaxations: u64,
-    /// CSR arcs scanned by the solve (batch total for coalesced members).
+    /// CSR arcs scanned by this query's solve.
     pub arcs_scanned: u64,
     /// `"ok"` or the typed rejection's label (`"deadline"`,
     /// `"cancelled"`, `"worker-lost"`, ...).
